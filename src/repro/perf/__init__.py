@@ -18,8 +18,8 @@ that repetition into an order-of-magnitude win:
   attaches it automatically);
 * :func:`compile_rule` / :class:`CompiledRule` — each rule's pattern,
   conditions, and emit template compiled into Python closures at
-  spec-load time; the matcher dispatches through them by default, with
-  ``interpret=True`` as the escape hatch and equivalence oracle;
+  spec-load time; the matcher dispatches through them, with the linear
+  ``Matcher(spec.rules)`` as the equivalence oracle;
 * :class:`TranslationCache` — an LRU memo of whole translations keyed by
   (algorithm, specification name, specification *version*, fingerprint);
   specification mutation bumps the version stamp, so stale entries can

@@ -64,8 +64,12 @@ _Key = tuple[str, str, int, str, str]
 _MISS = object()
 
 
-class _InFlight:
-    """One in-progress computation: the leader resolves, followers wait."""
+class InFlight:
+    """One in-progress computation: the leader resolves, followers wait.
+
+    Shared by this cache's inlined single-flight and
+    :class:`repro.serve.singleflight.SingleFlight`.
+    """
 
     __slots__ = ("_done", "_value", "_error")
 
@@ -137,7 +141,7 @@ class TranslationCache:
         self.maxsize = maxsize
         self._lock = threading.RLock()
         self._entries: OrderedDict[_Key, object] = OrderedDict()
-        self._inflight: dict[_Key, _InFlight] = {}
+        self._inflight: dict[_Key, InFlight] = {}
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -249,7 +253,7 @@ class TranslationCache:
             flight = self._inflight.get(key)
             if flight is None:
                 leader = True
-                flight = self._inflight[key] = _InFlight()
+                flight = self._inflight[key] = InFlight()
                 self._misses += 1
                 obs.count("perf.cache.misses")
             else:
@@ -362,8 +366,6 @@ def translate_batch(
     queries: Sequence[Query],
     specs: Mapping[str, MappingSpecification],
     cache: TranslationCache | None = None,
-    *,
-    interpret: bool = False,
 ) -> "list[dict[str, TranslationResult]]":
     """Translate many queries for many specifications, sharing the setup.
 
@@ -372,10 +374,6 @@ def translate_batch(
     built once up front, and all translations funnel through one
     :class:`TranslationCache` — so duplicate queries in the batch, and
     queries seen by an earlier batch using the same cache, cost a lookup.
-
-    ``interpret=True`` skips the cache and runs every translation on the
-    interpreted matcher (the :mod:`repro.perf.compile` oracle), so the
-    results share no memoized state with compiled runs.
 
     Returns one ``{spec name: TranslationResult}`` dict per input query,
     in input order.
@@ -388,13 +386,6 @@ def translate_batch(
         for name in sorted(specs):
             spec = specs[name]
             spec.compiled_index()  # build once, before the query loop
-            if interpret:
-                from repro.core.tdqm import tdqm_translate
-
-                matcher = spec.matcher(interpret=True)
-                for i, query in enumerate(prepared):
-                    out[i][name] = tdqm_translate(query, matcher)
-                continue
             for i, (query, fingerprint) in enumerate(zip(prepared, fingerprints)):
                 out[i][name] = cache.tdqm_prepared(query, fingerprint, spec)
         return out

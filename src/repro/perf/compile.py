@@ -1,6 +1,6 @@
 """Ahead-of-time rule compilation — closures for the matcher hot path.
 
-The interpreted matcher (:func:`repro.core.matching.match_rule`) walks a
+The linear matcher (:func:`repro.core.matching.match_rule`) walks a
 rule's patterns with a generic, ``isinstance``-dispatched unifier and
 re-evaluates conditions, ``let`` chains, and ``emit`` templates for every
 matching of every translation.  But a specification's rules are fixed
@@ -28,13 +28,13 @@ every compiled closure and memo built from the old rule set.
 Bit-identity: for any pool sequence, :meth:`CompiledRule.matchings`
 returns exactly what ``match_rule`` returns — same matchings, same
 discovery order, same deduplication, same error behaviour (property-
-tested against the interpreted oracle in ``tests/test_compile_properties.
-py``, which the ``interpret=`` escape hatch keeps reachable end to end).
+tested against the linear ``Matcher(spec.rules)`` oracle in
+``tests/test_compile_properties.py``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 
 from repro.core.ast import AttrRef, Constraint, Query
 from repro.core.errors import RuleError
@@ -126,7 +126,7 @@ def _check_rhs_step(value: object) -> Step:
 def _rhs_attr_step(pattern: AttrPattern) -> Step:
     """Join patterns: unify the rhs AttrRef against an AttrPattern.
 
-    Falls back to the interpreted attribute unifier — join patterns are
+    Falls back to the generic attribute unifier — join patterns are
     rare and carry the full (attr, view, index) generality, so the
     specialized win is in skipping them for every non-join rule.
     """
@@ -223,7 +223,8 @@ class CompiledRule:
         ``pools[i]`` must contain only constraints admitted by pattern
         ``i``'s head signature, in universe order — exactly what
         :meth:`~repro.perf.index.CompiledRuleIndex.pools` produces.
-        Bit-identical to ``match_rule(rule, ordered, pools=pools)``.
+        Bit-identical to ``match_rule(rule, ordered)`` over the universe
+        the pools were screened from.
         """
         results: list[Matching] = []
         memo = self._memo
@@ -327,7 +328,7 @@ def _compile_finish(rule: Rule) -> Callable[[Bindings], "tuple[Query, bool] | No
 
     The returned closure evaluates a complete binding to ``(emission,
     exact)`` or ``None`` (condition failure / RejectMatch), raising the
-    same :class:`RuleError`\\ s as the interpreted ``matching._finish``.
+    same :class:`RuleError`\\ s as the linear ``matching._finish``.
     """
     name = rule.name
     conditions = rule.conditions

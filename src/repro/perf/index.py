@@ -267,8 +267,8 @@ class CompiledRuleIndex:
     def prematch_get(self, universe: "frozenset[Constraint]") -> "tuple | None":
         """The memoized prematch ``M_p`` for ``universe``, if computed.
 
-        Compiled dispatch only (the interpreted walk stays memo-free by
-        design — it is the equivalence oracle).
+        The linear reference matcher has no index, so it stays memo-free
+        by design — it is the equivalence oracle.
         """
         self.check_fresh()
         found = self._prematch.get(universe)

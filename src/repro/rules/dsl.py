@@ -90,7 +90,7 @@ def cpat(lhs: str | Var | AttrPattern, op: str | Var, rhs: object) -> Constraint
     """Build a constraint pattern ``[lhs op rhs]``.
 
     ``rhs`` may be a Var, a literal value, an :class:`AttrPattern`, or a
-    dotted string which is interpreted as a literal attribute pattern (for
+    dotted string which is read as a literal attribute pattern (for
     join patterns such as ``cpat("V1.ln", "=", "V2.ln")`` write the pattern
     with :func:`ap` and Vars instead — strings stay literal).
     """

@@ -107,9 +107,6 @@ class ClusterConfig:
     #: Resilience flags forwarded to each worker's mediator
     #: (plain data: ``timeout``/``retries``/``backoff``/``strict``/``faults``).
     resilience_args: dict | None = None
-    #: Force interpreted matching in every worker (the compiled-path
-    #: escape hatch; see :mod:`repro.perf.compile`).
-    interpret: bool = False
     #: Virtual nodes per shard on the routing ring.
     ring_replicas: int = 64
     #: Seconds to wait for one worker to boot and report its port.
@@ -312,7 +309,6 @@ class ClusterServer:
                 "snapshot_limit": self.config.snapshot_limit,
                 "metrics": self.config.metrics,
                 "resilience_args": self.config.resilience_args,
-                "interpret": self.config.interpret,
             },
             daemon=True,
         )

@@ -246,7 +246,7 @@ class MediationService:
             def run() -> "dict[str, TranslationResult]":
                 with self._execution_slot(), obs.span("serve.translate"):
                     cache = self.mediator.translation_cache
-                    if cache is None or self.mediator.interpret:
+                    if cache is None:
                         return self.mediator.translate_many(
                             [prepared], sources=list(names)
                         )[0]
@@ -353,8 +353,7 @@ class MediationService:
             if old_spec.content_digest == new_spec.content_digest:
                 report.update(changed=False, invalidated=0)
                 return report
-            if not self.mediator.interpret:
-                new_spec.compiled_index().precompile()
+            new_spec.compiled_index().precompile()
             replacement = dict(specs)
             for source in sources:
                 replacement[source] = new_spec

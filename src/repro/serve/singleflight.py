@@ -19,34 +19,11 @@ import threading
 from collections.abc import Callable, Hashable
 from typing import TypeVar
 
+from repro.perf.cache import InFlight
+
 __all__ = ["SingleFlight"]
 
 T = TypeVar("T")
-
-
-class _Flight:
-    """One in-progress call: the leader resolves it, followers wait on it."""
-
-    __slots__ = ("_done", "_value", "_error")
-
-    def __init__(self) -> None:
-        self._done = threading.Event()
-        self._value: object = None
-        self._error: BaseException | None = None
-
-    def resolve(self, value: object) -> None:
-        self._value = value
-        self._done.set()
-
-    def fail(self, error: BaseException) -> None:
-        self._error = error
-        self._done.set()
-
-    def wait(self) -> object:
-        self._done.wait()
-        if self._error is not None:
-            raise self._error
-        return self._value
 
 
 class SingleFlight:
@@ -62,7 +39,7 @@ class SingleFlight:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._flights: dict[Hashable, _Flight] = {}
+        self._flights: dict[Hashable, InFlight] = {}
 
     def __len__(self) -> int:
         """Number of keys currently in flight."""
@@ -81,7 +58,7 @@ class SingleFlight:
                 leader = False
             else:
                 leader = True
-                flight = self._flights[key] = _Flight()
+                flight = self._flights[key] = InFlight()
         if not leader:
             return flight.wait(), True  # type: ignore[return-value]
         try:

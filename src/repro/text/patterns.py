@@ -151,6 +151,11 @@ class _Compound(TextPattern):
     def _key(self) -> tuple:
         return self.parts
 
+    def __repr__(self) -> str:
+        # Structural, never the default address-bearing repr: query
+        # fingerprints and intern keys render constraint values with repr.
+        return f"{type(self).__name__}({self.parts!r})"
+
     def iter_words(self) -> Iterator[str]:
         for part in self.parts:
             yield from part.iter_words()
@@ -199,6 +204,9 @@ class NearPat(_Compound):
 
     def _key(self) -> tuple:
         return (self.parts, self.window)
+
+    def __repr__(self) -> str:
+        return f"NearPat({self.parts!r}, window={self.window})"
 
     def __str__(self) -> str:
         tag = "near" if self.window == DEFAULT_NEAR_WINDOW else f"near/{self.window}"

@@ -5,10 +5,10 @@ Three layers under test:
 * **interning** (``repro.perf.intern``) — hash-consing collapses equal
   shapes to one weakly-held object per process, never changing equality;
 * **compiled rules** (``repro.perf.compile``) — per-rule closures with a
-  per-assignment memo, bit-identical to the interpreted ``match_rule``;
-* **the ``interpret=`` escape hatch** — threads from the CLI through the
-  Mediator down to ``Matcher``, bypassing every compiled-path memo so it
-  can serve as the equivalence oracle.
+  per-assignment memo, bit-identical to the linear ``match_rule``;
+* **the linear oracle** — ``Matcher(spec.rules)`` and
+  ``tdqm_translate(..., interpret=True)`` share no memoized state with
+  the compiled path, so they can serve as its equivalence oracle.
 """
 
 from __future__ import annotations
@@ -17,11 +17,9 @@ import gc
 
 import pytest
 
-from repro.cli import main
-from repro.core.ast import C, conj, disj
+from repro.core.ast import C, conj
 from repro.core.errors import RuleError, StaleIndexError
-from repro.core.explain import explain_translation
-from repro.core.matching import Matcher, RejectMatch, match_rule
+from repro.core.matching import Matcher, match_rule
 from repro.core.parser import parse_query
 from repro.core.tdqm import tdqm_translate
 from repro.perf import (
@@ -34,7 +32,7 @@ from repro.perf import (
     is_interned,
 )
 from repro.rules import K_AMAZON, builtin_specifications
-from repro.rules.dsl import V, cpat, rule, table_lookup, value_is
+from repro.rules.dsl import V, cpat, rule, table_lookup
 from repro.workloads.generator import (
     simple_conjunction,
     synthetic_spec,
@@ -162,18 +160,12 @@ class TestCompiledRule:
 
 
 class TestMatcherModes:
-    def test_mode_property(self):
-        spec = _fresh_spec()
-        assert spec.matcher().mode == "compiled"
-        assert spec.matcher(interpret=True).mode == "interpreted"
-        assert Matcher(spec.rules).mode == "interpreted"
-
     def test_compiled_equals_interpreted_on_builtins(self):
         queries = [example1_query(), figure2_q1(), qbook()]
         for spec in builtin_specifications().values():
             for query in queries:
                 compiled = tdqm_translate(query, spec.matcher())
-                oracle = tdqm_translate(query, spec.matcher(interpret=True))
+                oracle = tdqm_translate(query, Matcher(spec.rules))
                 assert compiled == oracle, (spec.name, str(query))
 
     def test_compiled_matcher_goes_stale_on_mutation(self):
@@ -202,14 +194,6 @@ class TestMatcherModes:
             str(m.emission) for m in first
         ]
 
-    def test_interpreted_dispatch_skips_prematch_memo(self):
-        spec = _fresh_spec("K_prematch_oracle")
-        index = spec.compiled_index()
-        universe = frozenset([C("a5", "=", 3)])
-        Matcher(spec.rules, index=index, interpret=True).potential(universe)
-        # The oracle must not share memoized state with the compiled path.
-        assert index.prematch_get(universe) is None
-
     def test_precompile_builds_every_closure(self):
         spec = _fresh_spec("K_precompile")
         index = spec.compiled_index()
@@ -225,53 +209,22 @@ class TestInterpretEscapeHatch:
             query, K_AMAZON
         )
 
-    def test_interpret_bypasses_translation_cache(self):
-        query = parse_query(self.QUERY)
+    def test_interpret_oracle_leaves_memos_untouched(self):
+        from repro.obs.trace import tracing
+
+        spec = _fresh_spec("K_oracle_memo_free")
+        index = spec.compiled_index()
+        query = simple_conjunction(ATTRS, 0)
         cache = TranslationCache()
-        tdqm_translate(query, K_AMAZON, cache=cache, interpret=True)
-        tdqm_translate(query, K_AMAZON, cache=cache, interpret=True)
+        with tracing("oracle") as tracer:
+            tdqm_translate(query, spec, cache=cache, interpret=True)
+            tdqm_translate(query, spec, cache=cache, interpret=True)
+        # The oracle must not share memoized state with the compiled path:
+        # no cache traffic, no index probe, no prematch memo entry.
         stats = cache.stats
-        assert stats.hits == 0 and stats.misses == 0 and stats.size == 0
-
-    def test_mediator_interpret_flag_propagates(self):
-        from repro.obs.stats import builtin_mediator
-
-        baseline = builtin_mediator({"K_Amazon"})
-        oracle = builtin_mediator({"K_Amazon"})
-        oracle.interpret = True
-        from repro.resilience import ResilienceConfig
-
-        assert oracle.with_resilience(ResilienceConfig()).interpret is True
-        got = oracle.translate_many([self.QUERY])[0]
-        want = baseline.translate_many([self.QUERY])[0]
-        assert {name: r.mapping for name, r in got.items()} == {
-            name: r.mapping for name, r in want.items()
-        }
-
-    def test_explain_labels_dispatch_mode(self):
-        query = parse_query(self.QUERY)
-        compiled = explain_translation(query, K_AMAZON)
-        interpreted = explain_translation(query, K_AMAZON, interpret=True)
-        assert "dispatch     : compiled" in compiled
-        assert "dispatch     : interpreted" in interpreted
-        assert "compiled dispatch" in compiled
-        assert "interpreted dispatch" in interpreted
-
-        # Identical apart from the path labels and trace timings.
-        def normalize(text):
-            import re
-
-            return re.sub(r"\d+\.\d+", "X", text.replace("compiled", "interpreted"))
-
-        assert normalize(compiled) == normalize(interpreted)
-
-    def test_cli_interpret_flag(self, capsys):
-        assert main(["translate", "K_Amazon", self.QUERY]) == 0
-        compiled_out = capsys.readouterr().out
-        assert main(["translate", "K_Amazon", self.QUERY, "--interpret"]) == 0
-        assert capsys.readouterr().out == compiled_out
-        assert main(["explain", "K_Amazon", self.QUERY, "--interpret"]) == 0
-        assert "interpreted" in capsys.readouterr().out
+        assert (stats.hits, stats.misses, stats.size) == (0, 0, 0)
+        assert not [name for name in tracer.counters if name.startswith("perf.")]
+        assert index.prematch_get(frozenset(query.constraints())) is None
 
 
 class TestStatsCounters:

@@ -1,12 +1,12 @@
-"""Property-based tests: compiled dispatch == the interpreted oracle.
+"""Property-based tests: compiled dispatch == the linear oracle.
 
 The contract of :mod:`repro.perf.compile` is **bit-identity**: for any
-specification and any query, translating through the compiled rule
-closures returns exactly what the interpreted ``match_rule`` walk
-returns — same mapping, same exactness, same matchings, in the same
-order.  ``Matcher(..., interpret=True)`` keeps the interpreted walk
-reachable on the identical candidate pools, so the property can be
-stated directly:
+specification and any query, translating through the index-screened
+compiled rule closures returns exactly what the linear ``match_rule``
+walk over every rule returns — same mapping, same exactness, same
+matchings, in the same order.  ``Matcher(spec.rules)`` (no index) keeps
+that walk reachable, so the property can be stated directly and checks
+the index's candidate screen along with the closures:
 
 * random ∧/∨ queries against random specs (single- and multi-pattern
   rules) translate identically on both paths;
@@ -45,7 +45,7 @@ spec_seeds = st.integers(min_value=0, max_value=200)
 
 def _assert_bit_identical(query, spec: MappingSpecification) -> None:
     compiled = tdqm_translate(query, spec.matcher())
-    oracle = tdqm_translate(query, spec.matcher(interpret=True))
+    oracle = tdqm_translate(query, Matcher(spec.rules))
     assert compiled == oracle, f"{spec.name}: {query}"
 
 
@@ -67,8 +67,8 @@ def test_compiled_matchings_equal_interpreted(qseed, sseed):
     universe = frozenset(query.constraints())
     index = spec.compiled_index()
 
-    compiled = Matcher(spec.rules, index=index, interpret=False).potential(universe)
-    oracle = Matcher(spec.rules, index=index, interpret=True).potential(universe)
+    compiled = Matcher(spec.rules, index=index).potential(universe)
+    oracle = Matcher(spec.rules).potential(universe)
 
     assert [
         (m.rule_name, m.constraints, str(m.emission), m.exact) for m in compiled
@@ -139,8 +139,8 @@ def test_capability_veto_actually_fires_on_both_paths():
     allowed = conj([C("a7", "=", 2)])
     vetoed = conj([C("a7", "=", 3)])
     assert "t_cap" in str(tdqm_translate(allowed, spec.matcher()).mapping)
-    for interpret in (False, True):
-        result = tdqm_translate(vetoed, spec.matcher(interpret=interpret))
+    for matcher in (spec.matcher(), Matcher(spec.rules)):
+        result = tdqm_translate(vetoed, matcher)
         assert "t_blocked" not in str(result.mapping)
     _assert_bit_identical(vetoed, spec)
 
@@ -181,14 +181,14 @@ def test_bit_identity_at_scale(big_spec):
 def test_prematch_memo_consistent_at_scale(big_spec):
     # A repeat universe is served from the index's prematch memo; the
     # memoized answer must equal both a fresh compiled dispatch and the
-    # interpreted oracle.
+    # linear oracle.
     spec, attrs = big_spec
     index = spec.compiled_index()
     universe = frozenset(simple_conjunction(attrs[:8], 5).constraints())
 
     first = Matcher(spec.rules, index=index).potential(universe)
     memoized = Matcher(spec.rules, index=index).potential(universe)
-    oracle = Matcher(spec.rules, index=index, interpret=True).potential(universe)
+    oracle = Matcher(spec.rules).potential(universe)
 
     def key(matchings):
         return [(m.rule_name, m.constraints, str(m.emission)) for m in matchings]

@@ -17,6 +17,7 @@ from repro.obs import trace as obs
 from repro.perf import (
     TranslationCache,
     canonical_form,
+    intern_query,
     query_fingerprint,
     translate_batch,
 )
@@ -78,6 +79,24 @@ class TestFingerprint:
     def test_canonical_form_is_stable_text(self):
         q = parse_query('[b = 2] and [a = 1]')
         assert canonical_form(q) == canonical_form(parse_query('[a = 1] and [b = 2]'))
+
+    def test_compound_text_patterns_render_structurally(self):
+        # Compound text patterns must not render with the default,
+        # address-bearing repr: two parses of one query would never share
+        # a cache entry, and a freed pattern's reused address could alias
+        # another query's cached mapping.
+        text = (
+            "[kwd contains java (near) programming] and "
+            "[kwd contains (web (or) www) (and) mining]"
+        )
+        first, second = parse_query(text), parse_query(text)
+        assert canonical_form(first) == canonical_form(second)
+        assert query_fingerprint(first) == query_fingerprint(second)
+        assert "0x" not in canonical_form(first)
+        assert intern_query(first) is intern_query(second)
+        near3 = parse_query("[kwd contains java (near/3) programming]")
+        near5 = parse_query("[kwd contains java (near) programming]")
+        assert query_fingerprint(near3) != query_fingerprint(near5)
 
 
 # -- compiled rule index -------------------------------------------------------
